@@ -15,6 +15,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,10 +52,6 @@ type Index struct {
 	comp     map[string]*compList
 	docs     []*corpus.Document
 
-	// paraStems caches, per paragraph (by global paragraph id), the distinct
-	// stems it contains mapped to occurrence counts.
-	paraStems map[int]map[string]int
-
 	indexBytes int // real bytes of the postings structures
 
 	// cache memoizes Boolean relaxation results per keyword set (cache.go).
@@ -71,36 +68,64 @@ func Build(c *corpus.Collection, sub int) *Index {
 // explicit posting-core selection.
 func BuildWith(c *corpus.Collection, sub int, opts IndexOptions) *Index {
 	ix := &Index{
-		coll:      c,
-		sub:       sub,
-		postings:  make(map[string][]int32),
-		docs:      c.Subs[sub].Docs,
-		paraStems: make(map[int]map[string]int),
-		cache:     newRelaxCache(defaultRelaxCacheCap),
+		coll:  c,
+		sub:   sub,
+		docs:  c.Subs[sub].Docs,
+		cache: newRelaxCache(defaultRelaxCacheCap),
 	}
+	// Postings are gathered by term ID over the paragraphs' distinct terms:
+	// a first pass sizes every list, a second fills them from one slab.
+	// lastDoc[id] is 1 + the last local doc offset counted for id.
+	lastDoc := make([]int32, c.NumTerms()+1)
+	df := make([]int32, len(lastDoc))
+	total := 0
 	for local, doc := range ix.docs {
-		seen := make(map[string]bool)
 		for _, p := range doc.Paragraphs {
-			counts := make(map[string]int, len(p.Tokens))
-			for _, t := range p.Tokens {
-				if t.Stem == "" {
-					continue
-				}
-				counts[t.Stem]++
-				if !seen[t.Stem] {
-					seen[t.Stem] = true
-					ix.postings[t.Stem] = append(ix.postings[t.Stem], int32(local))
+			for _, id := range p.Terms {
+				if lastDoc[id] != int32(local)+1 {
+					lastDoc[id] = int32(local) + 1
+					df[id]++
+					total++
 				}
 			}
-			ix.paraStems[p.ID] = counts
+		}
+	}
+	slab := make([]int32, 0, total)
+	lists := make([][]int32, len(lastDoc))
+	terms := 0
+	for id, n := range df {
+		if n > 0 {
+			lists[id] = slab[len(slab) : len(slab) : len(slab)+int(n)]
+			slab = slab[:len(slab)+int(n)]
+			terms++
+		}
+	}
+	clear(lastDoc)
+	for local, doc := range ix.docs {
+		for _, p := range doc.Paragraphs {
+			for _, id := range p.Terms {
+				if lastDoc[id] != int32(local)+1 {
+					lastDoc[id] = int32(local) + 1
+					lists[id] = append(lists[id], int32(local))
+				}
+			}
 		}
 	}
 	if opts.Compressed {
-		ix.comp = make(map[string]*compList, len(ix.postings))
-		for stem, list := range ix.postings {
-			ix.comp[stem] = compressPostings(list)
+		ix.comp = make(map[string]*compList, terms)
+	} else {
+		ix.postings = make(map[string][]int32, terms)
+	}
+	for id, list := range lists {
+		if len(list) == 0 {
+			continue
 		}
-		ix.postings = nil
+		stem := c.TermStem(uint32(id))
+		if opts.Compressed {
+			ix.comp[stem] = compressPostings(list)
+		} else {
+			ix.postings[stem] = list
+		}
 	}
 	ix.recomputeIndexBytes()
 	return ix
@@ -228,25 +253,38 @@ func (ix *Index) RetrieveParagraphs(keywords []string) ([]Retrieved, Stats) {
 	st.KeywordsUsed = len(rr.active)
 	st.DocsMatched = len(rr.docs)
 
-	// Paragraph extraction from matched documents.
+	// Paragraph extraction from matched documents: keyword presence is a
+	// search of each paragraph's sorted term IDs. A keyword the collection
+	// never saw resolves to ID 0, which no paragraph holds.
+	ids := sc.ids[:0]
+	for _, k := range kws {
+		ids = append(ids, ix.coll.TermID(k))
+	}
+	sc.ids = ids
 	need := (len(kws) + 1) / 2
 	if need < 1 {
 		need = 1
 	}
-	var out []Retrieved
+	scan := 0
 	for _, local := range rr.docs {
 		doc := ix.docs[local]
 		st.RealBytesTouched += doc.RealBytes
-		for _, p := range doc.Paragraphs {
-			st.ParagraphsScanned++
-			counts := ix.paraStems[p.ID]
+		scan += len(doc.Paragraphs)
+	}
+	st.ParagraphsScanned = scan
+	var out []Retrieved
+	for _, local := range rr.docs {
+		for _, p := range ix.docs[local].Paragraphs {
 			matched := 0
-			for _, k := range kws {
-				if counts[k] > 0 {
+			for _, id := range ids {
+				if _, ok := slices.BinarySearch(p.Terms, id); ok {
 					matched++
 				}
 			}
 			if matched >= need {
+				if out == nil {
+					out = make([]Retrieved, 0, scan)
+				}
 				out = append(out, Retrieved{Para: p, Matched: matched})
 			}
 		}
@@ -294,6 +332,7 @@ func (ix *Index) relax(kws []string, sc *scratch) relaxResult {
 // retrieval performs no intersection allocations.
 type scratch struct {
 	kws    []string
+	ids    []uint32
 	active []string
 	key    []byte
 	lists  [][]int32

@@ -76,7 +76,6 @@ func (s *Set) Save(w io.Writer) error {
 	type stagedIndex struct {
 		ix        *Index
 		lists     []savedList
-		ordinals  map[string]int
 		regionLen int64
 	}
 	staged := make([]*stagedIndex, 0, len(s.Indexes))
@@ -94,11 +93,9 @@ func (s *Set) Save(w io.Writer) error {
 			}
 		}
 		sort.Slice(st.lists, func(i, j int) bool { return st.lists[i].stem < st.lists[j].stem })
-		st.ordinals = make(map[string]int, len(st.lists))
 		for i := range st.lists {
 			st.lists[i].off = st.regionLen
 			st.regionLen += int64(len(st.lists[i].cl.data))
-			st.ordinals[st.lists[i].stem] = i
 		}
 		staged = append(staged, st)
 	}
@@ -126,32 +123,28 @@ func (s *Set) Save(w io.Writer) error {
 				hdr.Uint64(uint64(sk.n))
 			}
 		}
-		// Paragraph stem tables, stems by dictionary ordinal. Paragraph ids
-		// and per-paragraph ordinals are sorted so the output is byte-stable.
-		paraIDs := make([]int, 0, len(st.ix.paraStems))
-		for id := range st.ix.paraStems {
-			paraIDs = append(paraIDs, id)
+		// Paragraph stem tables, stems by dictionary ordinal, derived from
+		// the collection's tokens. Paragraphs are emitted by ascending id
+		// and each table by ascending ordinal, so the output is byte-stable.
+		dict := make([]string, len(st.lists))
+		for i, sl := range st.lists {
+			dict[i] = sl.stem
 		}
-		sort.Ints(paraIDs)
-		hdr.Uint64(uint64(len(paraIDs)))
-		for _, id := range paraIDs {
-			counts := st.ix.paraStems[id]
-			ords := make([]int, 0, len(counts))
-			for stem := range counts {
-				ord, ok := st.ordinals[stem]
-				if !ok {
-					// Unreachable: every paragraph stem has a posting entry
-					// by construction of Build.
-					return fmt.Errorf("index: save: paragraph %d stem %q not in term dictionary", id, stem)
-				}
-				ords = append(ords, ord)
+		tb := newTableBuilder(s.Coll, dict)
+		paras := st.ix.paragraphs()
+		hdr.Uint64(uint64(len(paras)))
+		for _, p := range paras {
+			table, ok := tb.table(p)
+			if !ok {
+				// Unreachable: every paragraph stem has a posting entry
+				// by construction of Build.
+				return fmt.Errorf("index: save: paragraph %d has a stem not in the term dictionary", p.ID)
 			}
-			sort.Ints(ords)
-			hdr.Uint64(uint64(id))
-			hdr.Uint64(uint64(len(ords)))
-			for _, ord := range ords {
-				hdr.Uint64(uint64(ord))
-				hdr.Uint64(uint64(counts[st.lists[ord].stem]))
+			hdr.Uint64(uint64(p.ID))
+			hdr.Uint64(uint64(len(table)))
+			for _, e := range table {
+				hdr.Uint64(uint64(e.ord))
+				hdr.Uint64(uint64(e.count))
 			}
 		}
 	}
@@ -294,7 +287,6 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			nindexes, len(c.Subs))
 	}
 
-	totalParas := len(c.Paragraphs())
 	regionCursor := align(int64(fixedHeader) + int64(headerLen))
 	indexes := make([]*Index, 0, nindexes)
 	var decodeBuf []int32
@@ -328,11 +320,10 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			return nil, fmt.Errorf("index: load: %w (term count)", wire.ErrCorrupt)
 		}
 		ix := &Index{
-			coll:      c,
-			sub:       int(sub),
-			docs:      c.Subs[sub].Docs,
-			paraStems: make(map[int]map[string]int),
-			cache:     newRelaxCache(defaultRelaxCacheCap),
+			coll:  c,
+			sub:   int(sub),
+			docs:  c.Subs[sub].Docs,
+			cache: newRelaxCache(defaultRelaxCacheCap),
 		}
 		if opts.Compressed {
 			ix.comp = make(map[string]*compList, nterms)
@@ -432,42 +423,12 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 			}
 		}
 
-		// Paragraph stem tables: ordinals resolve against the dictionary so
-		// each stem string is shared between postings and paraStems.
-		nparas := hr.ListLen(2)
-		if err := hr.Err(); err != nil {
-			return nil, fmt.Errorf("index: load: %w", err)
-		}
-		for p := 0; p < nparas; p++ {
-			id := hr.Uint64()
-			nstems := hr.ListLen(2)
-			if err := hr.Err(); err != nil {
-				return nil, fmt.Errorf("index: load: %w", err)
-			}
-			if id >= uint64(totalParas) {
-				return nil, fmt.Errorf("index: load: %w (paragraph id %d, collection has %d)", wire.ErrCorrupt, id, totalParas)
-			}
-			if _, dup := ix.paraStems[int(id)]; dup {
-				return nil, fmt.Errorf("index: load: %w (duplicate paragraph %d)", wire.ErrCorrupt, id)
-			}
-			counts := make(map[string]int, nstems)
-			prevOrd := -1
-			for s := 0; s < nstems; s++ {
-				ord := hr.Uint64()
-				count := hr.Uint64()
-				if err := hr.Err(); err != nil {
-					return nil, fmt.Errorf("index: load: %w", err)
-				}
-				if ord >= uint64(len(dict)) || int(ord) <= prevOrd {
-					return nil, fmt.Errorf("index: load: %w (paragraph %d stem ordinal)", wire.ErrCorrupt, id)
-				}
-				if count == 0 || count > uint64(1<<30) {
-					return nil, fmt.Errorf("index: load: %w (paragraph %d stem count)", wire.ErrCorrupt, id)
-				}
-				prevOrd = int(ord)
-				counts[dict[ord]] = int(count)
-			}
-			ix.paraStems[int(id)] = counts
+		// Paragraph stem tables: retrieval reads each paragraph's stems
+		// from the collection (corpus.Paragraph.Terms), so the tables are
+		// not kept — only checked to be exactly the ones Save derives from
+		// the collection for this dictionary.
+		if err := checkParaTables(&hr, ix, newTableBuilder(c, dict)); err != nil {
+			return nil, err
 		}
 		// The memory figure is never persisted: recompute it so a reloaded
 		// index reports exactly what a fresh build would (the old gob format
@@ -485,4 +446,108 @@ func parseContainer(buf []byte, c *corpus.Collection, opts IndexOptions, closer 
 	s := SetFrom(c, indexes)
 	s.closer = closer
 	return s, nil
+}
+
+// paragraphs returns the paragraphs of the index's sub-collection in
+// ascending id order.
+func (ix *Index) paragraphs() []*corpus.Paragraph {
+	var out []*corpus.Paragraph
+	for _, doc := range ix.docs {
+		out = append(out, doc.Paragraphs...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// stemCount is one entry of a paragraph stem table: a stem, by its ordinal
+// in the index's sorted term dictionary, and its occurrence count in the
+// paragraph.
+type stemCount struct {
+	ord, count int
+}
+
+// tableBuilder derives paragraph stem tables from a collection's tokens
+// against one sorted term dictionary.
+type tableBuilder struct {
+	// ords maps a term ID to its dictionary ordinal, -1 when the
+	// dictionary lacks the stem.
+	ords []int
+	// counts is per-term-ID occurrence scratch, all zero between calls.
+	counts []int
+	buf    []stemCount
+}
+
+func newTableBuilder(c *corpus.Collection, dict []string) *tableBuilder {
+	tb := &tableBuilder{ords: make([]int, c.NumTerms()+1), counts: make([]int, c.NumTerms()+1)}
+	for i := range tb.ords {
+		tb.ords[i] = -1
+	}
+	for i, stem := range dict {
+		if id := c.TermID(stem); id != 0 {
+			tb.ords[id] = i
+		}
+	}
+	return tb
+}
+
+// table returns p's stem table, ordinals ascending, or false if one of its
+// stems is missing from the dictionary. The result is reused by the next
+// call.
+func (tb *tableBuilder) table(p *corpus.Paragraph) ([]stemCount, bool) {
+	for _, t := range p.Tokens {
+		tb.counts[t.Term]++
+	}
+	tb.buf = tb.buf[:0]
+	ok := true
+	for _, id := range p.Terms {
+		if tb.ords[id] < 0 {
+			ok = false
+		}
+		tb.buf = append(tb.buf, stemCount{ord: tb.ords[id], count: tb.counts[id]})
+	}
+	for _, t := range p.Tokens {
+		tb.counts[t.Term] = 0
+	}
+	sort.Slice(tb.buf, func(i, j int) bool { return tb.buf[i].ord < tb.buf[j].ord })
+	return tb.buf, ok
+}
+
+// checkParaTables reads an index's paragraph stem tables from hr and
+// rejects them as corrupt unless they are exactly the tables Save derives
+// from the collection: every paragraph of the sub-collection, by ascending
+// id, each with its full (ordinal, count) table.
+func checkParaTables(hr *wire.Reader, ix *Index, tb *tableBuilder) error {
+	paras := ix.paragraphs()
+	nparas := hr.ListLen(2)
+	if err := hr.Err(); err != nil {
+		return fmt.Errorf("index: load: %w", err)
+	}
+	if nparas != len(paras) {
+		return fmt.Errorf("index: load: %w (%d paragraph tables, sub has %d paragraphs)", wire.ErrCorrupt, nparas, len(paras))
+	}
+	for _, p := range paras {
+		id := hr.Uint64()
+		nstems := hr.ListLen(2)
+		if err := hr.Err(); err != nil {
+			return fmt.Errorf("index: load: %w", err)
+		}
+		if id != uint64(p.ID) {
+			return fmt.Errorf("index: load: %w (paragraph table %d, want %d)", wire.ErrCorrupt, id, p.ID)
+		}
+		want, ok := tb.table(p)
+		if !ok || nstems != len(want) {
+			return fmt.Errorf("index: load: %w (paragraph %d stem table)", wire.ErrCorrupt, id)
+		}
+		for _, e := range want {
+			ord := hr.Uint64()
+			count := hr.Uint64()
+			if err := hr.Err(); err != nil {
+				return fmt.Errorf("index: load: %w", err)
+			}
+			if ord != uint64(e.ord) || count != uint64(e.count) {
+				return fmt.Errorf("index: load: %w (paragraph %d stem table)", wire.ErrCorrupt, id)
+			}
+		}
+	}
+	return nil
 }

@@ -468,9 +468,14 @@ func (n *Node) partitionAP(analysis nlp.QuestionAnalysis, accepted []qa.ScoredPa
 	// its round-trip: an AP sub-task ships refs out and answers back
 	// (~tens of µs on loopback), while extracting from a handful of
 	// paragraphs is cheaper than that wire cost — the PR-2 adaptive-fanout
-	// lesson applied to AP. Grouping never changes the answer bytes
-	// (MergeAnswerSets is partition-insensitive), so the clamp is pure
-	// scheduling.
+	// lesson applied to AP. The clamp is not pure scheduling: the merge is
+	// NOT partition-insensitive. Each worker keeps only its own top
+	// AnswersRequested answers and MergeAnswerSets' redundancy bonus counts
+	// repeats across the returned sets, so the answers (and their order)
+	// depend on how many workers AP was split over. Each split is
+	// deterministic — paragraphs dealt round-robin, sets merged in worker
+	// order — which is why e2ebench's oracle holds one expected answer
+	// list per worker count and replies report APPeers.
 	workers := len(idle) + 1
 	if w := len(accepted) / minAPParasPerWorker; w < workers {
 		workers = w

@@ -112,7 +112,13 @@ func TestStatusCarriesSLOAndRuntime(t *testing.T) {
 // recorder with a complete cross-node span tree, and the ask SLO row's
 // exemplar must resolve to that same question ID.
 func TestSlowDumpAndExemplarAcrossCluster(t *testing.T) {
-	nodes := startShardedCluster(t, 2, 2, 1, nil)
+	// Full scatter: the question's keywords are not in the corpus, so once
+	// gossiped summaries are fresh a routed coordinator skips every shard
+	// and no PR leg runs on the other node — whether they were fresh by the
+	// time of the ask was a race this test used to lose under load.
+	nodes := startShardedCluster(t, 2, 2, 1, func(_ int, cfg *NodeConfig) {
+		cfg.Shard.Routing.Disabled = true
+	})
 	for _, n := range nodes {
 		waitForCompleteShardMap(t, n)
 	}

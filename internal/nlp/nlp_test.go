@@ -5,7 +5,19 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestTokenSize: Term lives in the padding after the two bools, so the
+// interned ID costs no memory per token on 64-bit platforms.
+func TestTokenSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Token{}); n != 48 {
+		t.Fatalf("Token is %d bytes, want 48", n)
+	}
+}
 
 func TestTokenizeBasic(t *testing.T) {
 	toks := Tokenize("Where is the Taj Mahal?")

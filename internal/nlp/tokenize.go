@@ -31,6 +31,12 @@ type Token struct {
 	Capitalized bool
 	// Numeric records whether the token is all digits.
 	Numeric bool
+	// Term is the stem's interned term ID in the collection the token
+	// belongs to (see corpus.Collection.TermID); 0 for text outside any
+	// collection, such as a question. Keyword matching compares Term IDs,
+	// never Stem strings. The field sits in the padding after the two
+	// bools, so a Token stays 48 bytes.
+	Term uint32
 }
 
 // Tokenize splits text into normalised tokens. Words are maximal runs of

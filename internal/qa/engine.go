@@ -1,8 +1,10 @@
 package qa
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"distqa/internal/corpus"
@@ -176,8 +178,10 @@ func (e *Engine) ScoreParagraphs(a nlp.QuestionAnalysis, rs []index.Retrieved) (
 	}
 	out := make([]ScoredParagraph, 0, len(rs))
 	cost := Cost{MemMB: e.Cost.MemBaseMB}
+	scan := e.keywordScan(a.Keywords)
+	defer scan.release()
 	for _, r := range rs {
-		sp := e.scoreOne(a, r)
+		sp := scoreOne(scan, r)
 		out = append(out, sp)
 		cost.CPUSeconds += e.Cost.PSPerParagraphCPU + e.Cost.PSPerTokenCPU*float64(len(r.Para.Tokens))
 	}
@@ -201,14 +205,13 @@ func (e *Engine) ScoreCost(paras []ScoredParagraph) Cost {
 }
 
 // scoreOne computes the PS heuristics for a single paragraph.
-func (e *Engine) scoreOne(a nlp.QuestionAnalysis, r index.Retrieved) ScoredParagraph {
-	positions := keywordPositions(a.Keywords, r.Para.Tokens)
+func scoreOne(scan *keywordScan, r index.Retrieved) ScoredParagraph {
+	positions := scan.positions(r.Para.Tokens)
 	matched := 0
 	first, last := -1, -1
 	order := 0
 	prevPos := -1
-	for _, kw := range a.Keywords {
-		ps := positions[kw]
+	for _, ps := range positions {
 		if len(ps) == 0 {
 			continue
 		}
@@ -236,19 +239,51 @@ func (e *Engine) scoreOne(a nlp.QuestionAnalysis, r index.Retrieved) ScoredParag
 	return ScoredParagraph{Para: r.Para, Matched: matched, Score: score}
 }
 
-// keywordPositions maps each keyword stem to its sorted token positions.
-func keywordPositions(keywords []string, tokens []nlp.Token) map[string][]int {
-	want := make(map[string]bool, len(keywords))
+// keywordScan finds a question's keywords in paragraphs by interned term
+// ID. A stage call takes one from the pool (one per worker when PS fans
+// out) and reuses it across its paragraphs.
+type keywordScan struct {
+	// ids holds one term ID per keyword slot, in question order and with
+	// duplicates kept (a repeated keyword counts once per slot, as it
+	// always has); 0 marks a stem the collection never saw.
+	ids []uint32
+	// pos is the reusable per-slot position buffer positions fills.
+	pos [][]int
+}
+
+var scanPool = sync.Pool{New: func() any { return new(keywordScan) }}
+
+// keywordScan returns a pooled scan of keywords resolved against the
+// engine's collection. Return it with release.
+func (e *Engine) keywordScan(keywords []string) *keywordScan {
+	s := scanPool.Get().(*keywordScan)
+	s.ids = s.ids[:0]
 	for _, k := range keywords {
-		want[k] = true
+		s.ids = append(s.ids, e.Coll.TermID(k))
 	}
-	out := make(map[string][]int, len(keywords))
+	for len(s.pos) < len(s.ids) {
+		s.pos = append(s.pos, nil)
+	}
+	s.pos = s.pos[:len(s.ids)]
+	return s
+}
+
+func (s *keywordScan) release() { scanPool.Put(s) }
+
+// positions returns, per keyword slot, the sorted positions of the tokens
+// carrying the slot's term. The result is overwritten by the next call.
+func (s *keywordScan) positions(tokens []nlp.Token) [][]int {
+	for i := range s.pos {
+		s.pos[i] = s.pos[i][:0]
+	}
 	for _, t := range tokens {
-		if want[t.Stem] {
-			out[t.Stem] = append(out[t.Stem], t.Pos)
+		for i, id := range s.ids {
+			if t.Term == id && id != 0 {
+				s.pos[i] = append(s.pos[i], t.Pos)
+			}
 		}
 	}
-	return out
+	return s.pos
 }
 
 // ---------------------------------------------------------------------------
@@ -262,22 +297,24 @@ func (e *Engine) OrderParagraphs(ps []ScoredParagraph) ([]ScoredParagraph, Cost)
 	defer e.observe("PO", time.Now())
 	sorted := make([]ScoredParagraph, len(ps))
 	copy(sorted, ps)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Score != sorted[j].Score {
-			return sorted[i].Score > sorted[j].Score
+	slices.SortStableFunc(sorted, func(x, y ScoredParagraph) int {
+		if c := cmp.Compare(y.Score, x.Score); c != 0 {
+			return c
 		}
-		return sorted[i].Para.ID < sorted[j].Para.ID
+		return cmp.Compare(x.Para.ID, y.Para.ID)
 	})
-	accepted := make([]ScoredParagraph, 0, len(sorted))
+	// The accepted paragraphs are a prefix of the ranking.
+	n := 0
 	for _, sp := range sorted {
 		if sp.Score < e.Params.AcceptThreshold {
 			break
 		}
-		accepted = append(accepted, sp)
-		if len(accepted) >= e.Params.MaxAccepted {
+		n++
+		if n >= e.Params.MaxAccepted {
 			break
 		}
 	}
+	accepted := sorted[:n:n]
 	cost := Cost{
 		CPUSeconds: e.Cost.POBaseCPU + e.Cost.POPerParagraphCPU*float64(len(ps)),
 		MemMB:      e.Cost.MemBaseMB,
@@ -300,34 +337,39 @@ func (e *Engine) ExtractAnswers(a nlp.QuestionAnalysis, paras []ScoredParagraph)
 		CPUSeconds: e.Cost.APSubtaskBaseCPU,
 		MemMB:      e.Cost.MemBaseMB + e.Cost.MemPerParagraphMB*float64(len(paras)),
 	}
+	scan := e.keywordScan(a.Keywords)
+	defer scan.release()
 	for _, sp := range paras {
-		answers, c := e.extractFromParagraph(a, sp)
-		all = append(all, answers...)
+		var c float64
+		all, c = e.extractFromParagraph(all, a, scan, sp)
 		cost.CPUSeconds += c
 	}
 	sortAnswers(all)
 	if len(all) > e.Params.AnswersRequested {
 		all = all[:e.Params.AnswersRequested]
 	}
+	// Only the answers returned are rendered: sorting never reads Snippet.
+	for i := range all {
+		all[i].Snippet = snippet(e.Coll.Paragraph(all[i].ParaID), all[i].WindowStart, all[i].WindowEnd)
+	}
 	return all, cost
 }
 
-// extractFromParagraph finds typed candidates and builds scored windows.
-// The returned CPU seconds cover NER, parsing and window scoring for this
-// paragraph (Falcon's dominant cost).
-func (e *Engine) extractFromParagraph(a nlp.QuestionAnalysis, sp ScoredParagraph) ([]Answer, float64) {
+// extractFromParagraph appends the paragraph's typed candidates, with their
+// scored windows, to out. The returned CPU seconds cover NER, parsing and
+// window scoring for this paragraph (Falcon's dominant cost).
+func (e *Engine) extractFromParagraph(out []Answer, a nlp.QuestionAnalysis, scan *keywordScan, sp ScoredParagraph) ([]Answer, float64) {
 	para := sp.Para
 	cpu := e.Cost.APPerParagraphCPU + e.Cost.APPerTokenCPU*float64(len(para.Tokens))
-	positions := keywordPositions(a.Keywords, para.Tokens)
+	positions := scan.positions(para.Tokens)
 	// Window construction touches every (candidate, keyword occurrence)
 	// combination, so keyword-rich paragraphs — exactly the ones the PO
 	// module ranks highest — are the most expensive to process (the
 	// rank/granularity correlation of Section 4.1.3).
 	occurrences := 0
-	for _, kw := range a.Keywords {
-		occurrences += len(positions[kw])
+	for _, ps := range positions {
+		occurrences += len(ps)
 	}
-	var out []Answer
 	for _, ent := range para.Entities {
 		// Falcon recognises and scores every entity before the answer-type
 		// filter, so each entity costs NER + window work regardless of
@@ -336,16 +378,16 @@ func (e *Engine) extractFromParagraph(a nlp.QuestionAnalysis, sp ScoredParagraph
 		if a.AnswerType != nlp.UnknownEntity && ent.Type != a.AnswerType {
 			continue
 		}
-		ans := e.buildWindow(a, para, sp, ent, positions)
-		out = append(out, ans)
+		out = append(out, buildWindow(para, sp, ent, positions))
 	}
 	return out, cpu
 }
 
 // buildWindow constructs the answer window around a candidate entity and
 // applies the seven heuristics (Section 2.1: frequency and distance metrics
-// requiring a candidate answer).
-func (e *Engine) buildWindow(a nlp.QuestionAnalysis, para *corpus.Paragraph, sp ScoredParagraph, ent nlp.Entity, positions map[string][]int) Answer {
+// requiring a candidate answer). positions holds the keyword positions per
+// keyword slot. The Snippet is left for ExtractAnswers to render.
+func buildWindow(para *corpus.Paragraph, sp ScoredParagraph, ent nlp.Entity, positions [][]int) Answer {
 	candMid := (ent.Start + ent.End - 1) / 2
 	winStart, winEnd := ent.Start, ent.End-1
 
@@ -355,8 +397,7 @@ func (e *Engine) buildWindow(a nlp.QuestionAnalysis, para *corpus.Paragraph, sp 
 	nearest := 1 << 30
 	prev := -1
 	sameSentence := 0
-	for _, kw := range a.Keywords {
-		ps := positions[kw]
+	for _, ps := range positions {
 		if len(ps) == 0 {
 			continue
 		}
@@ -405,7 +446,6 @@ func (e *Engine) buildWindow(a nlp.QuestionAnalysis, para *corpus.Paragraph, sp 
 		WindowEnd:   winEnd + 1,
 		CandStart:   ent.Start,
 		CandEnd:     ent.End,
-		Snippet:     snippet(para, winStart, winEnd+1),
 	}
 }
 
@@ -434,17 +474,29 @@ func snippet(para *corpus.Paragraph, start, end int) string {
 	if hi > len(para.Tokens) {
 		hi = len(para.Tokens)
 	}
-	words := make([]string, 0, hi-lo)
-	if lo > 0 {
-		words = append(words, "...")
+	toks := para.Tokens[lo:hi]
+	size := len("... ") + len(" ...")
+	for _, t := range toks {
+		size += len(t.Text) + 1
 	}
-	for _, t := range para.Tokens[lo:hi] {
-		words = append(words, t.Text)
+	var b strings.Builder
+	b.Grow(size)
+	if lo > 0 {
+		b.WriteString("...")
+	}
+	for _, t := range toks {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t.Text)
 	}
 	if hi < len(para.Tokens) {
-		words = append(words, "...")
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString("...")
 	}
-	return strings.Join(words, " ")
+	return b.String()
 }
 
 // AnswerInContext renders an answer in the TREC byte-capped format: the
@@ -571,13 +623,13 @@ func (e *Engine) MergeAnswerSets(groups [][]Answer) ([]Answer, Cost) {
 // sortAnswers orders answers by descending score with deterministic
 // tie-breaks.
 func sortAnswers(as []Answer) {
-	sort.SliceStable(as, func(i, j int) bool {
-		if as[i].Score != as[j].Score {
-			return as[i].Score > as[j].Score
+	slices.SortStableFunc(as, func(x, y Answer) int {
+		if c := cmp.Compare(y.Score, x.Score); c != 0 {
+			return c
 		}
-		if as[i].ParaID != as[j].ParaID {
-			return as[i].ParaID < as[j].ParaID
+		if c := cmp.Compare(x.ParaID, y.ParaID); c != 0 {
+			return c
 		}
-		return as[i].Text < as[j].Text
+		return strings.Compare(x.Text, y.Text)
 	})
 }

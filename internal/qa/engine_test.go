@@ -165,14 +165,46 @@ func TestOrderParagraphsSortedAndFiltered(t *testing.T) {
 	}
 }
 
+// testVocab interns stems for paragraphs built by hand from words outside
+// any collection, standing in for a collection's vocabulary.
+type testVocab map[string]uint32
+
+func (v testVocab) id(stem string) uint32 {
+	id, ok := v[stem]
+	if !ok {
+		id = uint32(len(v) + 1)
+		v[stem] = id
+	}
+	return id
+}
+
+// paragraph tokenizes text and interns its stems.
+func (v testVocab) paragraph(text string) *corpus.Paragraph {
+	toks := nlp.Tokenize(text)
+	for i := range toks {
+		toks[i].Term = v.id(toks[i].Stem)
+	}
+	return &corpus.Paragraph{Tokens: toks}
+}
+
+// scan resolves keywords against the vocabulary.
+func (v testVocab) scan(keywords []string) *keywordScan {
+	s := &keywordScan{ids: make([]uint32, len(keywords)), pos: make([][]int, len(keywords))}
+	for i, k := range keywords {
+		s.ids[i] = v.id(k)
+	}
+	return s
+}
+
 func TestScoreMonotonicInMatches(t *testing.T) {
 	// A paragraph containing all keywords must outscore one with a strict
 	// subset, all else equal. Construct synthetic paragraphs.
 	a := nlp.QuestionAnalysis{Keywords: []string{"alpha", "beta", "gamma"}}
-	full := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha beta gamma together")}
-	partial := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha beta something else entirely")}
-	sFull := testEngine.scoreOne(a, index.Retrieved{Para: full})
-	sPartial := testEngine.scoreOne(a, index.Retrieved{Para: partial})
+	v := testVocab{}
+	full := v.paragraph("alpha beta gamma together")
+	partial := v.paragraph("alpha beta something else entirely")
+	sFull := scoreOne(v.scan(a.Keywords), index.Retrieved{Para: full})
+	sPartial := scoreOne(v.scan(a.Keywords), index.Retrieved{Para: partial})
 	if sFull.Score <= sPartial.Score {
 		t.Fatalf("full=%f ≤ partial=%f", sFull.Score, sPartial.Score)
 	}
@@ -183,10 +215,11 @@ func TestScoreMonotonicInMatches(t *testing.T) {
 
 func TestProximityBreaksTies(t *testing.T) {
 	a := nlp.QuestionAnalysis{Keywords: []string{"alpha", "beta"}}
-	near := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha beta")}
-	far := &corpus.Paragraph{Tokens: nlp.Tokenize("alpha one two three four five six seven beta")}
-	sNear := testEngine.scoreOne(a, index.Retrieved{Para: near})
-	sFar := testEngine.scoreOne(a, index.Retrieved{Para: far})
+	v := testVocab{}
+	near := v.paragraph("alpha beta")
+	far := v.paragraph("alpha one two three four five six seven beta")
+	sNear := scoreOne(v.scan(a.Keywords), index.Retrieved{Para: near})
+	sFar := scoreOne(v.scan(a.Keywords), index.Retrieved{Para: far})
 	if sNear.Score <= sFar.Score {
 		t.Fatalf("near=%f ≤ far=%f", sNear.Score, sFar.Score)
 	}
